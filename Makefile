@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test lint statcheck statcheck-fix statcheck-sarif faults serve-chaos serve-chaos-baseline slo slo-baseline fastpath fastpath-baseline quantize bench bench-smoke experiments report plan trace obs-diff clean-cache loc
+.PHONY: install test lint statcheck statcheck-fix statcheck-sarif faults serve-chaos serve-chaos-baseline slo slo-baseline fastpath fastpath-baseline perfbench-smoke quantize bench bench-smoke experiments report plan trace obs-diff clean-cache loc
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -67,6 +67,14 @@ slo-baseline:
 fastpath:
 	PYTHONPATH=src python -m pytest tests/test_fastpath.py -q
 	PYTHONPATH=src python benchmarks/bench_fastpath.py --scale smoke --check
+
+# Wall-clock benchmark smoke (perfbench/README.md): one short traced run
+# of serve-faulty and of paper-cell.  Each run checks its own answers
+# against the oracle and that every layer it must cover fired; a
+# non-zero exit fails the target.
+perfbench-smoke:
+	python3 perfbench/run.py --workload serve-faulty --seed 1 --seconds 2 --trace 1
+	python3 perfbench/run.py --workload paper-cell --seed 1 --seconds 2 --trace 1
 
 # Regenerate the fastpath baseline after an intentional perf change.
 fastpath-baseline:

@@ -114,33 +114,6 @@ class FILForest:
     def total_nodes(self) -> int:
         return int(self.feature.shape[0])
 
-    def predict_tree(self, X: np.ndarray, tree: int) -> np.ndarray:
-        """Reference traversal of one tree (for tests)."""
-        X = np.ascontiguousarray(X, dtype=np.float32)
-        base = self.tree_offset[tree]
-        n = X.shape[0]
-        cur = np.zeros(n, dtype=np.int64)
-        out = np.full(n, -1, dtype=np.int64)
-        active = np.ones(n, dtype=bool)
-        rows = np.arange(n, dtype=np.int64)
-        while np.any(active):
-            g = base + cur[active]
-            feats = self.feature[g]
-            leaf = feats == LEAF
-            act = np.flatnonzero(active)
-            if np.any(leaf):
-                done = act[leaf]
-                out[done] = self.value[base + cur[done]].astype(np.int64)
-                active[done] = False
-                act = act[~leaf]
-                if act.size == 0:
-                    break
-                g = base + cur[act]
-                feats = self.feature[g]
-            go_left = X[rows[act], feats] < self.value[g]
-            cur[act] = self.left_child[g] + np.where(go_left, 0, 1)
-        return out
-
 
 class CuMLFILKernel(GPUKernel):
     """One-query-per-thread traversal of the FIL layout."""

@@ -42,7 +42,7 @@ from repro.fpgasim.device import ALVEO_U250, FPGASpec
 from repro.gpusim.device import GPUSpec, TITAN_XP
 from repro.runtime.planner import Planner, compile_plan
 from repro.runtime.session import RuntimeSession
-from repro.utils.validation import check_array_2d, check_positive_int, check_same_length
+from repro.utils.validation import check_positive_int, check_queries, check_same_length
 
 
 class HierarchicalForestClassifier:
@@ -202,7 +202,12 @@ class HierarchicalForestClassifier:
         :class:`repro.obs.ObsSession`): the kernel reports each launch to
         it, and with ``include_transfer=True`` the query round trip is
         reported via ``on_transfer``.
+
+        ``X`` must be finite, non-empty and have the forest's feature
+        count; anything else raises ``ValueError`` here, before planning,
+        in every trace mode.
         """
+        X = check_queries(X, self.forest.n_features_)
         plan, config = self._resolve(X, config)
         session = self.runtime
         session.verify_against_reference = self.verify_against_reference
@@ -234,7 +239,7 @@ class HierarchicalForestClassifier:
         """
         from repro.core.results import BatchedRunResult
 
-        X = check_array_2d(X, "X")
+        X = check_queries(X, self.forest.n_features_)
         check_positive_int(batch_size, "batch_size")
         if y_true is not None:
             y_true = np.asarray(y_true)

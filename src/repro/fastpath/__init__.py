@@ -13,7 +13,9 @@ depth, gather/where over the packed node-record arrays, one
 Predictions are bit-identical to the trace path and the CPU host-tree
 oracle (the golden suite in ``tests/test_fastpath.py`` pins this for every
 registered (platform, variant) pair).  Layout families each get their own
-traversal:
+lowering to the shared :class:`~repro.fastpath.engine.EdgeTable`; the
+layouts have no traversal of their own, so this is also what layout
+verification and degraded quorum voting run:
 
 * :mod:`repro.fastpath.hierpath` — hierarchical subtree layout
   (``independent`` / ``collaborative`` / ``hybrid`` variants);

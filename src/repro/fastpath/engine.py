@@ -1,15 +1,16 @@
-"""Fastpath engine: dispatch, the shared traversal core, and the latency model.
+"""Fastpath engine: lowering, the shared traversal core, and the latency model.
 
-All three traversals share one shape: the ``(row, tree)`` cross product is
-flattened into *lanes*, every lane carries a cursor through its tree, and
-the lane arrays are stepped level-synchronously — compacting retired lanes
-out every level — until every lane lands on a leaf.  The loop count is
+There is one traversal of a built layout, :func:`traverse_edges`: the
+``(row, tree)`` cross product is flattened into *lanes*, every lane
+carries a cursor through its tree, and the lane arrays are stepped
+level-synchronously — compacting retired lanes out every level — until
+every lane lands on a leaf.  The loop count is
 bounded by the deepest tree, never by the number of rows — that is what
 makes the fast path scale.
 
 The family modules (:mod:`repro.fastpath.hierpath` /
 :mod:`~repro.fastpath.csrpath` / :mod:`~repro.fastpath.filpath`) do not
-duplicate the stepping loop.  Each lowers its device layout once into a
+traverse.  Each lowers its device layout once (:func:`lower`) into a
 flat :class:`EdgeTable` — a successor table ``succ[2 * slot + went_right]``
 precomputed from the layout's own crossing rules (subtree-connection hops,
 CSR children indirection, FIL adjacent children) — and the shared
@@ -33,9 +34,12 @@ Two things deliberately do **not** happen here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Optional
 
 import numpy as np
+
+from repro.forest.tree import EMPTY, LEAF
 
 #: Fixed per-launch overhead of the modelled fast path, seconds.  Stands in
 #: for dispatch + argument marshalling; dominates tiny batches.
@@ -90,21 +94,6 @@ class FastpathStats:
     frontier_occupancy: float
 
 
-def make_stats(family: str, rows: int, trees: int, levels: int, lane_levels: int) -> FastpathStats:
-    lanes = rows * trees
-    denom = lanes * levels
-    occupancy = (float(lane_levels) / float(denom)) if denom > 0 else 0.0
-    return FastpathStats(
-        family=family,
-        rows=int(rows),
-        trees=int(trees),
-        lanes=int(lanes),
-        levels=int(levels),
-        lane_levels=int(lane_levels),
-        frontier_occupancy=occupancy,
-    )
-
-
 def fastpath_seconds(lane_levels: int, precision: str = "float32") -> float:
     """Deterministic modelled latency of one fastpath launch.
 
@@ -137,33 +126,46 @@ def supports_variant(variant: str) -> bool:
 FASTPATH_CHUNK_LANES = 65536
 
 
+#: Label of ``EMPTY`` slots.  A lane retiring there makes its flushed vote
+#: index negative, which :func:`traverse_edges` checks once per block.
+DANGLING_LABEL = -(1 << 30)
+
+
 @dataclass(frozen=True)
 class EdgeTable:
     """A device layout lowered to flat successor-table form.
 
-    One entry per node slot, in the layout's own slot numbering:
+    One entry per node slot, in the layout's own slot numbering, plus one
+    trailing *sentinel* slot (index ``slots``):
 
     * ``feature`` — ``int32``; split feature id, negative on terminals
       (``LEAF``/``EMPTY``), which makes the retirement test one compare.
+      The sentinel is ``EMPTY``.
     * ``value`` — ``float32``; split threshold (class label on leaves, read
       via ``label`` instead).
-    * ``label`` — ``int32``; class label on leaf slots, 0 elsewhere.
-    * ``succ`` — ``int32[2 * slots]``; ``succ[2 * g + went_right]`` is the
-      next slot.  Terminal slots self-loop, so a stale lane can never walk
-      out of bounds.  All layout-specific stepping rules (hierarchical
-      subtree crossings, CSR children indirection, FIL adjacent children)
-      are resolved here, once, at build time.
-    * ``roots`` — ``int32[n_trees]``; each tree's root slot.
+    * ``label`` — ``int32``; class label on leaf slots, 0 on inner slots,
+      :data:`DANGLING_LABEL` on every other terminal.
+    * ``succ`` — ``int32[2 * (slots + 1)]``; ``succ[2 * g + went_right]``
+      is the next slot.  Terminal slots self-loop, so a stale lane can
+      never walk out of bounds.  All layout-specific stepping rules
+      (hierarchical subtree crossings, CSR children indirection, FIL
+      adjacent children) are resolved here, once, at build time.  An edge
+      the layout cannot resolve (a severed connection, a child index out
+      of its tree's range) points at the sentinel, so lowering a corrupted
+      layout never fails and a lane following such an edge raises.
+    * ``roots`` — ``int32[n_trees]``; each tree's root slot.  Restricting
+      a traversal to a subset of trees is ``replace(table, roots=...)``.
 
     Layouts built under a non-float32 codec additionally carry the
-    quantized threshold channel: ``qcodes`` (slot-aligned stored codes,
-    ``float16`` or ``int8``) and — for the calibrated codecs — the
-    per-feature ``qscale``/``qoffset`` affine tables.  The traversal core
-    then dequantizes *at gather time*, replaying the codec's canonical
-    float32 decode expression per lane, which is bit-identical to the
-    round-tripped ``value`` channel the layout stores (pinned by
-    tests/test_fastpath.py).  ``value`` itself always holds the decoded
-    float32 channel, so the float32 compare path is byte-unchanged.
+    quantized threshold channel: ``qcodes`` (stored codes of the layout's
+    slots, ``float16`` or ``int8``; gathered on inner slots only) and — for
+    the calibrated codecs — the per-feature ``qscale``/``qoffset`` affine
+    tables.  The traversal core then dequantizes *at gather time*,
+    replaying the codec's canonical float32 decode expression per lane,
+    which is bit-identical to the round-tripped ``value`` channel the
+    layout stores (pinned by tests/test_fastpath.py).  ``value`` itself
+    always holds the decoded float32 channel, so the float32 compare path
+    is byte-unchanged.
     """
 
     feature: np.ndarray
@@ -176,6 +178,42 @@ class EdgeTable:
     qscale: Optional[np.ndarray] = None
     qoffset: Optional[np.ndarray] = None
     codec: str = "float32"
+
+
+def edge_table(layout, feature, value, left, right, roots) -> EdgeTable:
+    """Assemble an :class:`EdgeTable` from raw per-slot successor slots.
+
+    ``left``/``right`` hold each slot's next slot under the family's
+    stepping rule, ``-1`` where it finds none.  Terminal slots self-loop;
+    inner targets outside ``[0, slots)`` go to the ``EMPTY`` sentinel.
+    """
+    n_slots = int(feature.shape[0])
+    inner = feature >= 0
+    fallback = np.where(inner, n_slots, np.arange(n_slots, dtype=np.int64))
+    succ = np.full(2 * (n_slots + 1), n_slots, dtype=np.int32)
+    succ[0 : 2 * n_slots : 2] = np.where(
+        inner & (left >= 0) & (left < n_slots), left, fallback
+    )
+    succ[1 : 2 * n_slots : 2] = np.where(
+        inner & (right >= 0) & (right < n_slots), right, fallback
+    )
+    feature = np.append(feature.astype(np.int32), np.int32(EMPTY))
+    value = np.append(value.astype(np.float32), np.float32(0.0))
+    # Leaves vote their class; a lane retiring on any other terminal (a
+    # padding slot, the sentinel, a leaf whose corrupted label is no class)
+    # gets DANGLING_LABEL, which traverse_edges raises on.
+    labelled = (feature == LEAF) & (value >= 0) & (value < layout.n_classes)
+    label = np.where(feature < 0, DANGLING_LABEL, 0).astype(np.int32)
+    label[labelled] = value[labelled].astype(np.int32)
+    return EdgeTable(
+        feature=feature,
+        value=value,
+        label=label,
+        succ=succ,
+        roots=np.asarray(roots, dtype=np.int32),
+        n_classes=int(layout.n_classes),
+        **quantized_channels(layout),
+    )
 
 
 def quantized_channels(layout) -> dict:
@@ -196,15 +234,36 @@ def quantized_channels(layout) -> dict:
     }
 
 
-def cached_edges(layout, build) -> EdgeTable:
-    """Memoized ``build(layout)`` — the table is derived data, built once.
+def layout_family(layout) -> str:
+    """Traversal family of a built layout, told apart by its own arrays.
+
+    Duck-typed, so this module imports no layout class (FILForest lives in
+    :mod:`repro.baselines.cuml_fil`, which drags in the GPU kernels).
+    """
+    if hasattr(layout, "subtree_connection"):
+        return "hier"
+    if hasattr(layout, "children_arr"):
+        return "csr"
+    if hasattr(layout, "tree_offset") and hasattr(layout, "left_child"):
+        return "fil"
+    raise TypeError(
+        f"no fastpath traversal for layout type {type(layout).__name__}"
+    )
+
+
+def lower(layout) -> EdgeTable:
+    """The layout's :class:`EdgeTable`, built once and cached on it.
 
     Cached on the layout instance itself, so a rebuilt layout (e.g. after
-    an integrity-check failure) naturally gets a fresh table.
+    an integrity-check failure) naturally gets a fresh table.  The
+    family's ``build_edges`` (module ``repro.fastpath.<family>path``) is
+    looked up at call time, so a wrapper installed there sees every
+    lowering.
     """
     table = getattr(layout, "_fastpath_edges", None)
     if table is None:
-        table = build(layout)
+        module = import_module(f"repro.fastpath.{layout_family(layout)}path")
+        table = module.build_edges(layout)
         layout._fastpath_edges = table
     return table
 
@@ -221,6 +280,11 @@ def traverse_edges(table: EdgeTable, X: np.ndarray):
     lane retiring at depth ``d`` is flushed on iteration ``d + 1``, so
     ``levels <= max_depth + 1``); ``lane_levels`` is the total number of
     lane-steps executed, the work metric :func:`fastpath_seconds` charges.
+
+    A lane that retires on a terminal other than a leaf raises
+    ``RuntimeError``: a structurally broken layout is detected, never
+    voted with.  ``X`` must already obey the input contract (finite,
+    non-empty, the forest's feature count), checked at the API boundary.
     """
     X = np.ascontiguousarray(X, dtype=np.float32)
     n = int(X.shape[0])
@@ -286,9 +350,13 @@ def traverse_edges(table: EdgeTable, X: np.ndarray):
             went_right = flat_x[rx + feats] >= thr
             slot = succ[slot + slot + went_right]
         levels = max(levels, depth)
-        counts = np.bincount(
-            np.concatenate(flushed), minlength=(stop - start) * n_classes
-        )
+        flat = np.concatenate(flushed)
+        if flat.size and flat.min() < 0:  # a lane retired on DANGLING_LABEL
+            raise RuntimeError(
+                "fastpath lane retired on a padding slot: the layout "
+                "has a missing subtree or a corrupted edge"
+            )
+        counts = np.bincount(flat, minlength=(stop - start) * n_classes)
         votes[start * n_classes : stop * n_classes] += counts.astype(np.int32)
         start = stop
     return votes.reshape(n, n_classes).argmax(axis=1), levels, lane_levels
@@ -297,28 +365,21 @@ def traverse_edges(table: EdgeTable, X: np.ndarray):
 def fastpath_predict(layout, X: np.ndarray):
     """Vectorized batched prediction over a built device layout.
 
-    Dispatches on the layout's family and returns
+    Lowers the layout once (:func:`lower`) and returns
     ``(predictions int64[n_rows], FastpathStats)``.  Predictions are
-    bit-identical to the layout's reference ``predict`` and to the trace
-    kernels (pinned by tests/test_fastpath.py).
+    bit-identical to the trace kernels and to the host-tree oracle
+    (pinned by tests/test_fastpath.py).
     """
-    from repro.layout.csr import CSRForest
-    from repro.layout.hierarchical import HierarchicalForest
-
-    if isinstance(layout, HierarchicalForest):
-        from repro.fastpath.hierpath import traverse as hier_traverse
-
-        return hier_traverse(layout, X)
-    if isinstance(layout, CSRForest):
-        from repro.fastpath.csrpath import traverse as csr_traverse
-
-        return csr_traverse(layout, X)
-    # FILForest lives in repro.baselines.cuml_fil which imports the GPU
-    # kernel machinery; duck-type instead of importing it here.
-    if hasattr(layout, "tree_offset") and hasattr(layout, "left_child"):
-        from repro.fastpath.filpath import traverse as fil_traverse
-
-        return fil_traverse(layout, X)
-    raise TypeError(
-        f"no fastpath traversal for layout type {type(layout).__name__}"
+    table = lower(layout)
+    preds, levels, lane_levels = traverse_edges(table, X)
+    rows, trees = int(X.shape[0]), int(table.roots.shape[0])
+    denom = rows * trees * levels
+    return preds, FastpathStats(
+        family=layout_family(layout),
+        rows=rows,
+        trees=trees,
+        lanes=rows * trees,
+        levels=int(levels),
+        lane_levels=int(lane_levels),
+        frontier_occupancy=float(lane_levels) / float(denom) if denom else 0.0,
     )

@@ -1,11 +1,11 @@
 """Edge-table lowering of the cuML-FIL packed-node layout.
 
-Semantics are exactly :meth:`FILForest.predict_tree` — children adjacent
-(``right = left + 1``), node ids tree-local.  The adjacency rule is
-resolved *once*, at build time, into the flat successor table of an
-:class:`~repro.fastpath.engine.EdgeTable`; the shared
-:func:`~repro.fastpath.engine.traverse_edges` core then steps every
-``(row, tree)`` lane with plain gathers over global slot ids.
+Stepping rule: children adjacent (``right = left + 1``), node ids
+tree-local.  The adjacency rule is resolved *once*, at build time, into
+the flat successor table of an :class:`~repro.fastpath.engine.EdgeTable`;
+the shared :func:`~repro.fastpath.engine.traverse_edges` core then steps
+every ``(row, tree)`` lane with plain gathers over global slot ids.
+A child index outside its tree points at the table's ``EMPTY`` sentinel.
 
 The layout is duck-typed (``feature`` / ``value`` / ``left_child`` /
 ``tree_offset`` / ``n_classes``) so this module never imports
@@ -16,41 +16,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fastpath.engine import EdgeTable, cached_edges, make_stats, traverse_edges
-from repro.forest.tree import LEAF
+from repro.fastpath.engine import EdgeTable, edge_table
 
 
 def build_edges(layout) -> EdgeTable:
     """Lower the FIL arrays to flat successor-table form."""
     tree_offset = layout.tree_offset.astype(np.int64)
-    n_slots = int(layout.feature.shape[0])
     n_trees = int(tree_offset.shape[0] - 1)
     owner = np.repeat(np.arange(n_trees, dtype=np.int64), np.diff(tree_offset))
-    inner = layout.feature >= 0
     # left_child is tree-local and meaningless on leaves; pure arithmetic,
-    # masked to the inner subset afterwards, so no out-of-bounds gather.
-    child_global = tree_offset[owner] + layout.left_child.astype(np.int64)
-    tgt_left = np.arange(n_slots, dtype=np.int64)  # terminals self-loop
-    tgt_right = tgt_left.copy()
-    tgt_left[inner] = child_global[inner]
-    tgt_right[inner] = child_global[inner] + 1
-    succ = np.empty(2 * n_slots, dtype=np.int32)
-    succ[0::2] = tgt_left.astype(np.int32)
-    succ[1::2] = tgt_right.astype(np.int32)
-    return EdgeTable(
-        feature=layout.feature.astype(np.int32),
-        value=layout.value.astype(np.float32),
-        label=np.where(layout.feature == LEAF, layout.value, 0).astype(np.int32),
-        succ=succ,
-        roots=tree_offset[:-1].astype(np.int32),
-        n_classes=int(layout.n_classes),
+    # so no gather can go out of bounds.
+    child = layout.left_child.astype(np.int64)
+    inside = (child >= 0) & (child + 1 < np.diff(tree_offset)[owner])
+    left = np.where(inside, tree_offset[owner] + child, -1)
+    return edge_table(
+        layout, layout.feature, layout.value, left,
+        np.where(inside, left + 1, -1), tree_offset[:-1],
     )
-
-
-def traverse(layout, X: np.ndarray):
-    """Predict ``X`` over every tree; returns ``(predictions, stats)``."""
-    table = cached_edges(layout, build_edges)
-    preds, levels, lane_levels = traverse_edges(table, X)
-    n_trees = int(layout.tree_offset.shape[0] - 1)
-    stats = make_stats("fil", int(X.shape[0]), n_trees, levels, lane_levels)
-    return preds, stats

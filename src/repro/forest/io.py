@@ -65,18 +65,15 @@ def _encode_thresholds(threshold, feature, n_features, codec: str):
     threshold encoding — node-record packing is a device-layout concern,
     not a file-format one.
     """
-    from repro.layout.codec import get_codec
+    from repro.layout.codec import encode_inner_thresholds, get_codec
 
     empty = np.empty(0, dtype=np.float32)
     if codec == "float32":
         return threshold.astype(np.float32), empty, empty, "float32"
     resolved = get_codec(codec)
-    inner = feature >= 0
-    feats = np.where(inner, feature, 0).astype(np.int64)
-    codes, scale, offset = resolved.encode_thresholds(
-        threshold.astype(np.float32), feats, int(n_features), mask=inner
+    codes, scale, offset, _ = encode_inner_thresholds(
+        resolved, threshold, feature, n_features
     )
-    codes = np.where(inner, codes, np.zeros(1, dtype=codes.dtype))
     return codes, scale, offset, resolved.threshold_dtype.name
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from repro.forest.builder import FeatureBinner, TreeBuilder
 from repro.forest.tree import DecisionTree
 from repro.utils.rng import as_rng, bootstrap_indices, spawn_rngs
-from repro.utils.validation import check_array_2d, check_positive_int
+from repro.utils.validation import check_array_2d, check_positive_int, check_queries
 
 
 class RandomForestClassifier:
@@ -124,11 +124,7 @@ class RandomForestClassifier:
     def predict_votes(self, X: np.ndarray) -> np.ndarray:
         """Per-class vote counts, shape ``(n_queries, n_classes)``."""
         self._check_fitted()
-        X = check_array_2d(X, "X")
-        if X.shape[1] != self.n_features_:
-            raise ValueError(
-                f"X has {X.shape[1]} features, forest expects {self.n_features_}"
-            )
+        X = check_queries(X, self.n_features_)
         votes = np.zeros((X.shape[0], self.n_classes_), dtype=np.int64)
         rows = np.arange(X.shape[0], dtype=np.int64)
         for tree in self.trees_:

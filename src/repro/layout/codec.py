@@ -23,10 +23,11 @@ The paper's layouts (Sec. 4) store one float32 ``value`` channel per node
 
 Codecs quantize at *build* time: a layout constructed under codec ``c``
 stores the already-decoded (round-tripped) float32 values, so every
-downstream consumer — trace kernels, integrity checksums,
-``layout.predict`` — runs unchanged and agrees bit-for-bit with the
-fastpath's dequantize-on-gather (:mod:`repro.fastpath`), which replays
-the exact same float32 expression per lane.
+downstream consumer — trace kernels, integrity checksums — runs
+unchanged and agrees bit-for-bit with the fastpath's dequantize-on-gather
+(:mod:`repro.fastpath`), which replays the exact same float32 expression
+per lane.  :func:`roundtrip_trees` applies the same round-trip to the
+host trees, which makes them the CPU oracle for quantized plans.
 
 All decode arithmetic is float32 end to end; mixing a quantized code
 array into float64 arithmetic is banned by statcheck rule NUM004.
@@ -34,10 +35,12 @@ array into float64 arithmetic is banned by statcheck rule NUM004.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from repro.forest.tree import DecisionTree
 
 #: Every legal value of the runtime's ``precision`` axis, in widening
 #: order of compression.  ``RunConfig.precision`` validates against this.
@@ -229,6 +232,33 @@ def get_codec(codec: Union[str, NodeCodec]) -> NodeCodec:
         ) from None
 
 
+def encode_inner_thresholds(
+    codec: Union[str, NodeCodec],
+    value: np.ndarray,
+    feature_id: np.ndarray,
+    n_features: Optional[int] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Encode the thresholds of a mixed value channel, then decode them.
+
+    Only slots with ``feature_id >= 0`` carry thresholds; the others (leaf
+    labels, padding) get code 0, stay out of the calibration and pass
+    through unchanged.  Returns ``(codes, scale, offset, roundtripped)``.
+    """
+    resolved = get_codec(codec)
+    value = np.asarray(value, dtype=np.float32)
+    inner = feature_id >= 0
+    feat_idx = np.where(inner, feature_id, 0).astype(np.int64)
+    if n_features is None:
+        n_features = int(feat_idx.max()) + 1 if feat_idx.size else 1
+    codes, scale, offset = resolved.encode_thresholds(
+        value, feat_idx, int(n_features), mask=inner
+    )
+    codes = np.where(inner, codes, np.zeros(1, dtype=codes.dtype))
+    decoded = resolved.decode_thresholds(codes, feat_idx, scale, offset)
+    roundtripped = np.where(inner, decoded, value).astype(np.float32)
+    return codes, scale, offset, roundtripped
+
+
 def quantize_layout_values(
     codec: Union[str, NodeCodec],
     value: np.ndarray,
@@ -246,21 +276,14 @@ def quantize_layout_values(
     if resolved.name == "float32":
         return value, None
 
-    inner = feature_id >= 0
-    feat_idx = np.where(inner, feature_id, 0).astype(np.int64)
-    n_features = int(feat_idx.max()) + 1 if feat_idx.size else 1
-    codes, scale, offset = resolved.encode_thresholds(
-        value, feat_idx, n_features, mask=inner
+    codes, scale, offset, roundtripped = encode_inner_thresholds(
+        resolved, value, feature_id
     )
-    codes = np.where(inner, codes, np.zeros(1, dtype=codes.dtype))
-    decoded = resolved.decode_thresholds(codes, feat_idx, scale, offset)
-    roundtripped = np.where(inner, decoded, value).astype(np.float32)
-
     leaf_pool = np.empty(0, dtype=np.float32)
     leaf_code = np.empty(0, dtype=np.uint8)
     if resolved.name == "packed":
         leaf_pool, leaf_code = PackedCodec.pool_leaves(
-            np.where(inner, np.float32(0.0), value).astype(np.float32)
+            np.where(feature_id >= 0, np.float32(0.0), value).astype(np.float32)
         )
     quant = QuantizedValues(
         codec=resolved.name,
@@ -271,3 +294,25 @@ def quantize_layout_values(
         leaf_code=leaf_code,
     )
     return roundtripped, quant
+
+
+def roundtrip_trees(
+    trees: Sequence[DecisionTree], codec: Union[str, NodeCodec]
+) -> List[DecisionTree]:
+    """Copies of ``trees`` whose thresholds went once through ``codec``.
+
+    A layout built under ``codec`` encodes exactly these trees (same
+    per-feature calibration, elementwise decode), so they are the
+    host-tree oracle for its plans.
+    """
+    trees = list(trees)
+    if get_codec(codec).name == "float32":
+        return trees
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    roundtripped = encode_inner_thresholds(codec, threshold, feature)[3]
+    bounds = np.cumsum([t.n_nodes for t in trees])[:-1]
+    return [
+        replace(tree, threshold=part)
+        for tree, part in zip(trees, np.split(roundtripped, bounds))
+    ]

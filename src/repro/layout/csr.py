@@ -141,47 +141,6 @@ class CSRForest:
         return int(self.children_arr.shape[0])
 
     # ------------------------------------------------------------------
-    def predict_tree(self, X: np.ndarray, tree: int) -> np.ndarray:
-        """Reference batch traversal of one tree (level-synchronous).
-
-        Used by tests to check the layout encodes the same function as the
-        source :class:`DecisionTree`; the instrumented kernels re-implement
-        this loop with address accounting.
-        """
-        X = np.ascontiguousarray(X, dtype=np.float32)
-        base = self.tree_node_offset[tree]
-        cbase = self.tree_children_offset[tree]
-        cur = np.zeros(X.shape[0], dtype=np.int64)  # tree-local node ids
-        out = np.full(X.shape[0], -1, dtype=np.int64)
-        rows = np.arange(X.shape[0], dtype=np.int64)
-        active = np.ones(X.shape[0], dtype=bool)
-        while np.any(active):
-            g = base + cur[active]
-            feats = self.feature_id[g]
-            leaf = feats == LEAF
-            if np.any(leaf):
-                act_idx = np.flatnonzero(active)
-                done = act_idx[leaf]
-                out[done] = self.value[base + cur[done]].astype(np.int64)
-                active[done] = False
-                if not np.any(active):
-                    break
-                g = base + cur[active]
-                feats = self.feature_id[g]
-            go_left = X[rows[active], feats] < self.value[g]
-            ci = self.children_arr_idx[g] + np.where(go_left, 0, 1)
-            cur[active] = self.children_arr[cbase + ci]
-        return out
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Majority vote over all trees (reference semantics)."""
-        votes = np.zeros((X.shape[0], self.n_classes), dtype=np.int64)
-        rows = np.arange(X.shape[0], dtype=np.int64)
-        for t in range(self.n_trees):
-            votes[rows, self.predict_tree(X, t)] += 1
-        return votes.argmax(axis=1)
-
-    # ------------------------------------------------------------------
     def validate(self, trees: Sequence[DecisionTree]) -> None:
         """Cross-check the layout against its source trees."""
         if len(trees) != self.n_trees:

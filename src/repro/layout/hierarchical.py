@@ -274,68 +274,6 @@ class HierarchicalForest:
         return off, self.subtree_size(st)
 
     # ------------------------------------------------------------------
-    # Reference traversal
-    # ------------------------------------------------------------------
-    def predict_tree(self, X: np.ndarray, tree: int) -> np.ndarray:
-        """Reference batch traversal of one tree through the subtree graph.
-
-        Level-synchronous over all queries, mirroring the simulated kernels
-        but without any instrumentation; used as the correctness oracle for
-        the layout itself.
-        """
-        X = np.ascontiguousarray(X, dtype=np.float32)
-        n = X.shape[0]
-        st = np.full(n, self.tree_root_subtree[tree], dtype=np.int64)
-        local = np.zeros(n, dtype=np.int64)
-        out = np.full(n, -1, dtype=np.int64)
-        active = np.ones(n, dtype=bool)
-        rows = np.arange(n, dtype=np.int64)
-        while np.any(active):
-            g = self.subtree_node_offset[st[active]] + local[active]
-            feats = self.feature_id[g]
-            if np.any(feats == EMPTY):  # pragma: no cover - structural bug
-                raise RuntimeError("traversal reached a padding slot")
-            leaf = feats == LEAF
-            act_idx = np.flatnonzero(active)
-            if np.any(leaf):
-                done = act_idx[leaf]
-                out[done] = self.value[g[leaf]].astype(np.int64)
-                active[done] = False
-                act_idx = act_idx[~leaf]
-                if act_idx.size == 0:
-                    break
-                g = self.subtree_node_offset[st[act_idx]] + local[act_idx]
-                feats = self.feature_id[g]
-            go_right = (X[rows[act_idx], feats] >= self.value[g]).astype(np.int64)
-            sd = self.subtree_depth[st[act_idx]]
-            frontier_start = (1 << (sd - 1).astype(np.int64)) - 1
-            crossing = local[act_idx] >= frontier_start
-            # In-subtree step.
-            stay = act_idx[~crossing]
-            local[stay] = 2 * local[stay] + 1 + go_right[~crossing]
-            # Cross-subtree step via the connection arrays.
-            cross = act_idx[crossing]
-            if cross.size:
-                rank = local[cross] - frontier_start[crossing]
-                cidx = (
-                    self.connection_offset[st[cross]] + 2 * rank + go_right[crossing]
-                )
-                nxt = self.subtree_connection[cidx]
-                if np.any(nxt < 0):  # pragma: no cover - structural bug
-                    raise RuntimeError("traversal crossed into a missing subtree")
-                st[cross] = nxt
-                local[cross] = 0
-        return out
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Majority vote over all trees (reference semantics)."""
-        votes = np.zeros((X.shape[0], self.n_classes), dtype=np.int64)
-        rows = np.arange(X.shape[0], dtype=np.int64)
-        for t in range(self.n_trees):
-            votes[rows, self.predict_tree(X, t)] += 1
-        return votes.argmax(axis=1)
-
-    # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
     def validate(self) -> None:

@@ -2,7 +2,8 @@
 
 :func:`verify_layouts` builds every layout of a forest and checks, query by
 query and tree by tree, that each encodes exactly the same classification
-function as the source :class:`DecisionTree` objects.  The classifier API
+function as the source :class:`DecisionTree` objects, running each tree
+through the layout's fastpath lowering.  The classifier API
 already verifies final majority votes on every run; this utility goes
 further (per-tree agreement, structural validation, all three layouts) and
 is what ``examples``/CI use when touching layout code.
@@ -10,11 +11,12 @@ is what ``examples``/CI use when touching layout code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.fastpath.engine import lower, traverse_edges
 from repro.forest.tree import DecisionTree
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
@@ -79,8 +81,9 @@ def verify_layouts(
         except ValueError as e:
             report.failures.append(f"{label}: structural validation: {e}")
             return
+        table = lower(layout)
         for t, exp in enumerate(expected):
-            got = layout.predict_tree(X, t)
+            got, _, _ = traverse_edges(replace(table, roots=table.roots[[t]]), X)
             if not np.array_equal(got, exp):
                 bad = int(np.flatnonzero(got != exp)[0])
                 report.failures.append(

@@ -49,7 +49,7 @@ from repro.runtime.plan import CPU_PLATFORM, ExecutionPlan
 from repro.runtime.planner import compile_plan
 from repro.runtime.session import ExecutionError
 from repro.utils.rng import as_rng
-from repro.utils.validation import check_array_2d, check_positive_int, check_same_length
+from repro.utils.validation import check_positive_int, check_queries, check_same_length
 
 
 class DeadlineExceededError(RuntimeError):
@@ -432,9 +432,11 @@ class ResilientClassifier:
         Walks the :meth:`ladder_plans` list until a rung's plan produces
         predictions; the attached :class:`ReliabilityReport` says exactly
         what it took.  ``variant="auto"`` is resolved by the planner once,
-        before the ladder is built.
+        before the ladder is built.  Malformed ``X`` (non-finite, empty, or
+        the wrong feature count) raises ``ValueError`` before planning: it
+        is a caller error, never a fault to fall back from.
         """
-        X = check_array_2d(X, "X")
+        X = check_queries(X, self.inner.forest.n_features_)
         if y_true is not None:
             y_true = np.asarray(y_true)
             check_same_length(X, y_true, names=("X", "y_true"))
@@ -529,7 +531,7 @@ class ResilientClassifier:
         y_true: Optional[np.ndarray] = None,
     ) -> BatchedRunResult:
         """Guarded batched classification with an aggregated report."""
-        X = check_array_2d(X, "X")
+        X = check_queries(X, self.inner.forest.n_features_)
         check_positive_int(batch_size, "batch_size")
         if y_true is not None:
             y_true = np.asarray(y_true)

@@ -15,16 +15,18 @@ module makes corruption *survivable* instead of merely detectable:
   naming the mismatched arrays.
 * :func:`degraded_predict` — majority vote over only the trees whose buffers
   still hash correctly, provided a configurable quorum survives.  This is
-  the availability escape hatch: drop poisoned trees, keep answering.
+  the availability escape hatch: drop poisoned trees, keep answering.  It
+  votes through the fastpath lowering of the layout with only the intact
+  trees' roots, so it shares the one layout traversal.
 
 Everything here is duck-typed over the layout dataclasses (any object whose
 ``ndarray`` attributes are the node buffers), so the module imports neither
-``repro.layout`` nor ``repro.core`` and stays cycle-free.
+``repro.layout`` nor ``repro.core`` at load time and stays cycle-free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -217,9 +219,12 @@ def degraded_predict(
             f"only {n_alive}/{layout.n_trees} trees intact, "
             f"quorum requires {needed}"
         )
-    votes = np.zeros((X.shape[0], layout.n_classes), dtype=np.int64)
-    rows = np.arange(X.shape[0], dtype=np.int64)
-    for t in np.flatnonzero(alive):
-        votes[rows, layout.predict_tree(X, int(t))] += 1
+    # Vote through the layout's own lowering, restricted to the intact
+    # trees' roots.  Lowering tolerates the corrupted trees' buffers, and
+    # no lane ever enters them.
+    from repro.fastpath.engine import lower, traverse_edges
+
+    table = lower(layout)
+    preds, _, _ = traverse_edges(replace(table, roots=table.roots[alive]), X)
     dropped = tuple(int(t) for t in np.flatnonzero(~alive))
-    return votes.argmax(axis=1), dropped
+    return preds, dropped

@@ -19,6 +19,7 @@ from repro.core.results import RunResult
 from repro.forest.metrics import accuracy_score
 from repro.fpgasim.device import ALVEO_U250, FPGASpec
 from repro.gpusim.device import GPUSpec, TITAN_XP
+from repro.layout.codec import roundtrip_trees
 from repro.obs.protocol import ensure_observer
 from repro.runtime.backends import Backend, backend_for, default_backends
 from repro.runtime.plan import CPU_PLATFORM, ExecutionPlan, PlanError, check_pair
@@ -90,6 +91,7 @@ class RuntimeSession:
         self._layout_cache: Dict[Tuple, object] = (
             layout_cache if layout_cache is not None else {}
         )
+        self._reference_trees: Dict[str, List] = {}
 
     @classmethod
     def from_forest(cls, forest, **kwargs) -> "RuntimeSession":
@@ -107,6 +109,18 @@ class RuntimeSession:
         if key not in self._layout_cache:
             self._layout_cache[key] = backend.build_layout(self.trees, plan)
         return self._layout_cache[key]
+
+    def reference_trees(self, precision: str) -> List:
+        """The host trees a ``precision`` layout encodes (the oracle input).
+
+        Quantized layouts moved the thresholds at build time; their oracle
+        is :func:`~repro.layout.codec.roundtrip_trees`, built once here.
+        """
+        trees = self._reference_trees.get(precision)
+        if trees is None:
+            trees = roundtrip_trees(self.trees, precision)
+            self._reference_trees[precision] = trees
+        return trees
 
     def invalidate_layouts(self) -> None:
         """Drop every cached layout (host trees stay authoritative)."""
@@ -190,13 +204,7 @@ class RuntimeSession:
             details["shard_seconds"] = [o.seconds for o in outputs]
 
         if self.verify_against_reference and plan.platform != CPU_PLATFORM:
-            if plan.precision != "float32":
-                # Quantized plans moved the thresholds at build time, so
-                # the host trees are no longer the oracle; the layout's own
-                # reference traversal (same decoded float32 channel) is.
-                ref = layout.predict(X)
-            else:
-                ref = reference_predict(self.trees, X)
+            ref = reference_predict(self.reference_trees(plan.precision), X)
             if not np.array_equal(predictions, ref):
                 raise RuntimeError(
                     f"simulated kernel {plan.label} disagrees with the "

@@ -42,6 +42,7 @@ from repro.serving.chaos import (
 )
 from repro.serving.frontdoor import ServingFrontDoor
 from repro.serving.request import (
+    InvalidRequest,
     Overload,
     Request,
     RequestStatus,
@@ -71,6 +72,7 @@ __all__ = [
     "survivability_report",
     "wrong_answer_ids",
     "ServingFrontDoor",
+    "InvalidRequest",
     "Overload",
     "Request",
     "RequestStatus",

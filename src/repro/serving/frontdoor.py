@@ -43,6 +43,7 @@ from repro.serving.batching import (
     calibrate_latency_model,
 )
 from repro.serving.request import (
+    InvalidRequest,
     Overload,
     Request,
     RequestStatus,
@@ -50,7 +51,7 @@ from repro.serving.request import (
     ServingStats,
 )
 from repro.utils.clock import SimulatedClock
-from repro.utils.validation import check_array_2d
+from repro.utils.validation import check_queries
 
 
 class ServingFrontDoor:
@@ -218,11 +219,16 @@ class ServingFrontDoor:
     ) -> Request:
         """Admit one request (``X``: its feature rows) or raise Overload.
 
-        ``deadline_s`` is relative to the current simulated time; the
-        stored request carries the absolute deadline so every later stage
-        compares against one clock.
+        Rows that break the query input contract (non-finite, empty, or
+        the wrong feature count) raise :class:`InvalidRequest` before
+        admission.  ``deadline_s`` is relative to the current simulated
+        time; the stored request carries the absolute deadline so every
+        later stage compares against one clock.
         """
-        X = check_array_2d(X, "X")
+        try:
+            X = check_queries(X, self.guard.inner.forest.n_features_)
+        except ValueError as e:
+            raise InvalidRequest(str(e)) from e
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
         now = self.clock.now()
@@ -251,10 +257,11 @@ class ServingFrontDoor:
         tenant: str = "default",
         deadline_s: Optional[float] = None,
     ) -> Optional[Request]:
-        """Like :meth:`submit`, but records and swallows the Overload."""
+        """Like :meth:`submit`, but records and swallows the typed rejection
+        (:class:`Overload` or :class:`InvalidRequest`) and returns ``None``."""
         try:
             return self.submit(X, tenant=tenant, deadline_s=deadline_s)
-        except Overload as e:
+        except (Overload, InvalidRequest) as e:
             self.stats.note_rejection(e.reason)
             return None
 

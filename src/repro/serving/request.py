@@ -59,6 +59,16 @@ class Overload(RuntimeError):
         self.retry_after_s = float(retry_after_s)
 
 
+class InvalidRequest(ValueError):
+    """Typed rejection of a request whose rows break the input contract.
+
+    Raised by :meth:`ServingFrontDoor.submit` before admission, so a
+    malformed request never reaches a batch and its neighbours.
+    """
+
+    reason = "invalid"
+
+
 @dataclass(frozen=True)
 class Request:
     """One admitted inference request (a few feature rows, one tenant)."""
@@ -141,7 +151,7 @@ class ServingStats:
 
     submitted: int = 0
     served: int = 0
-    #: Admission rejections by reason ("rate-limit" / "queue-full").
+    #: Rejections by reason ("rate-limit" / "queue-full" / "invalid").
     rejected: Dict[str, int] = field(default_factory=dict)
     #: Sheds by :class:`RequestStatus` value (deadline family).
     shed: Dict[str, int] = field(default_factory=dict)

@@ -32,6 +32,19 @@ def check_array_2d(x, name: str = "X", dtype=np.float32) -> np.ndarray:
     return arr
 
 
+def check_queries(x, n_features: int) -> np.ndarray:
+    """The query input contract of every classification entry point.
+
+    :func:`check_array_2d` (finite, non-empty, 2-D float32) plus the
+    forest's feature count, so a narrow matrix never reaches a traversal's
+    gather and a wide one is never silently truncated.
+    """
+    arr = check_array_2d(x, "X")
+    if arr.shape[1] != n_features:
+        raise ValueError(f"X has {arr.shape[1]} features, forest expects {n_features}")
+    return arr
+
+
 def check_positive_int(value, name: str, minimum: int = 1) -> int:
     """Validate that ``value`` is an integer ``>= minimum`` and return it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

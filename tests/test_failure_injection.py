@@ -9,6 +9,7 @@ classifier's reference verification).
 import numpy as np
 import pytest
 
+from repro.fastpath import fastpath_predict
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
 
@@ -65,13 +66,12 @@ class TestHierarchicalCorruption:
         self, small_trees, queries
     ):
         """A -1 connection reached during traversal raises, never returns
-        garbage."""
+        garbage (and lowering the severed layout does not fail)."""
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
         valid = np.flatnonzero(h.subtree_connection >= 0)
         h.subtree_connection[valid] = -1  # sever everything
         with pytest.raises(RuntimeError, match="missing subtree"):
-            for t in range(h.n_trees):
-                h.predict_tree(queries, t)
+            fastpath_predict(h, queries)
 
     def test_traversal_into_padding_raises(self, small_trees, queries):
         """Corrupting a leaf into an inner node steers traversal into
@@ -99,8 +99,25 @@ class TestHierarchicalCorruption:
         if not found:
             pytest.skip("no leaf-with-padding-child in this forest")
         with pytest.raises(RuntimeError, match="padding"):
-            for t in range(h.n_trees):
-                h.predict_tree(queries, t)
+            fastpath_predict(h, queries)
+
+
+class TestFastpathLowering:
+    """Corrupted buffers lower without error; walking into them raises."""
+
+    def test_out_of_range_child_index(self, small_trees, queries):
+        csr = CSRForest.from_trees(small_trees)
+        csr.children_arr_idx[0] = 10**9  # the root's children are gone
+        with pytest.raises(RuntimeError, match="corrupted edge"):
+            fastpath_predict(csr, queries)
+
+    def test_leaf_label_outside_the_classes(self, queries):
+        from repro.forest.tree import DecisionTree
+
+        csr = CSRForest.from_trees([DecisionTree.leaf(1)])
+        csr.value[0] = 99.0
+        with pytest.raises(RuntimeError, match="padding slot"):
+            fastpath_predict(csr, queries)
 
 
 class TestKernelGuards:

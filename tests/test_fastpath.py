@@ -35,6 +35,7 @@ from repro.fastpath import (
 )
 from repro.forest.tree import random_tree
 from repro.kernels import registered_pairs
+from repro.layout.codec import roundtrip_trees
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
 from repro.obs import ObsSession
@@ -356,17 +357,15 @@ class TestQuantizedGolden:
     @pytest.mark.parametrize("codec", QUANT_CODECS)
     @pytest.mark.parametrize("variant", ["hybrid", "csr"])
     def test_fastpath_bit_identical_to_layout_and_trace(
-        self, session, queries, codec, variant
+        self, session, small_trees, queries, codec, variant
     ):
         fast = session.run(_plan("gpu", variant, precision=codec), queries)
         model = session.run(
             _plan("gpu", variant, trace=TRACE_MODEL, precision=codec), queries
         )
-        layout = session.layout_for(compile_plan(
-            None, RunConfig(platform="gpu", variant=variant, precision=codec)
-        ))
+        oracle = reference_predict(roundtrip_trees(small_trees, codec), queries)
         assert np.array_equal(fast.predictions, model.predictions)
-        assert np.array_equal(fast.predictions, layout.predict(queries))
+        assert np.array_equal(fast.predictions, oracle)
 
     @pytest.mark.parametrize("codec", QUANT_CODECS)
     def test_edge_table_really_dequantizes(self, small_trees, queries, codec):
@@ -400,7 +399,29 @@ class TestQuantizedGolden:
             small_trees, LayoutParams(4, 8), codec=codec
         )
         preds, _ = fastpath_predict(layout, queries)
-        assert np.array_equal(preds, layout.predict(queries))
+        oracle = reference_predict(roundtrip_trees(small_trees, codec), queries)
+        assert np.array_equal(preds, oracle)
+
+    @pytest.mark.parametrize("codec", QUANT_CODECS)
+    def test_perturbed_quantized_prediction_is_caught(
+        self, small_trees, queries, codec, monkeypatch
+    ):
+        """The round-tripped-tree oracle is a real check, not fastpath vs
+        fastpath: one flipped prediction trips the session."""
+        import repro.runtime.backends as backends
+
+        real = backends.fastpath_predict
+
+        def flip_one(layout, X):
+            preds, stats = real(layout, X)
+            preds = preds.copy()
+            preds[0] = 1 - preds[0]
+            return preds, stats
+
+        monkeypatch.setattr(backends, "fastpath_predict", flip_one)
+        session = RuntimeSession(small_trees)
+        with pytest.raises(RuntimeError, match="disagrees with the CPU reference"):
+            session.run(_plan("gpu", "hybrid", precision=codec), queries)
 
     @pytest.mark.parametrize("codec", QUANT_CODECS)
     def test_quantized_predictions_track_the_oracle(

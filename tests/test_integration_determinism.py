@@ -56,12 +56,16 @@ class TestCrossModuleAgreement:
 
     def test_all_layouts_one_vote(self, pipeline):
         """CSR, hierarchical and FIL layouts agree with the forest."""
+        from repro.baselines.cuml_fil import FILForest
+        from repro.fastpath import fastpath_predict
+
         clf, ds = pipeline
         ref = clf.forest.predict(ds.X_test)
         csr = CSRForest.from_trees(clf.trees)
         hier = HierarchicalForest.from_trees(clf.trees, LayoutParams(5))
-        assert np.array_equal(csr.predict(ds.X_test), ref)
-        assert np.array_equal(hier.predict(ds.X_test), ref)
+        fil = FILForest.from_trees(clf.trees)
+        for layout in (csr, hier, fil):
+            assert np.array_equal(fastpath_predict(layout, ds.X_test)[0], ref)
 
     def test_gpu_fpga_same_predictions(self, pipeline):
         clf, ds = pipeline

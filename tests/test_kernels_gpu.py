@@ -18,6 +18,7 @@ from repro.kernels import (
 )
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
+from tests.lowering import tree_predict
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +177,7 @@ class TestFILForestLayout:
     def test_predict_tree_matches(self, small_trees, queries):
         fil = FILForest.from_trees(small_trees)
         for t, tree in enumerate(small_trees):
-            assert np.array_equal(fil.predict_tree(queries, t), tree.predict(queries))
+            assert np.array_equal(tree_predict(fil, queries, t), tree.predict(queries))
 
     def test_node_counts_preserved(self, small_trees):
         fil = FILForest.from_trees(small_trees)

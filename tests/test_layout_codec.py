@@ -19,6 +19,7 @@ from repro.layout import (
     layout_device_arrays,
 )
 from repro.layout.codec import PackedCodec, quantize_layout_values
+from repro.fastpath import fastpath_predict
 
 QUANTIZED = tuple(p for p in PRECISIONS if p != "float32")
 
@@ -130,7 +131,12 @@ class TestLayoutThreading:
         base = CSRForest.from_trees(small_trees)
         quant = CSRForest.from_trees(small_trees, codec=codec)
         assert quant.codec == codec
-        agree = float(np.mean(quant.predict(queries) == base.predict(queries)))
+        agree = float(
+            np.mean(
+                fastpath_predict(quant, queries)[0]
+                == fastpath_predict(base, queries)[0]
+            )
+        )
         assert agree >= 0.98
 
     @pytest.mark.parametrize("codec", PRECISIONS)
@@ -141,7 +147,7 @@ class TestLayoutThreading:
         )
         hier.validate()
         np.testing.assert_array_equal(
-            csr.predict(queries), hier.predict(queries)
+            fastpath_predict(csr, queries)[0], fastpath_predict(hier, queries)[0]
         )
 
     @pytest.mark.parametrize("codec", QUANTIZED)
@@ -231,3 +237,32 @@ class TestByteAccounting:
         )
         # Explicit widths ignore the codec: the historical width model.
         assert csr_bytes(csr, w) == expected
+
+
+class TestRoundtripOracle:
+    """Host trees with round-tripped thresholds encode the quantized layouts."""
+
+    @pytest.mark.parametrize("codec", PRECISIONS)
+    @pytest.mark.parametrize("family", ["hier", "csr"])
+    def test_roundtripped_trees_match_the_layout(
+        self, small_trees, trained_small, queries, codec, family
+    ):
+        from repro.baselines.cpu_reference import reference_predict
+        from repro.layout.codec import roundtrip_trees
+
+        clf, _, _, Xte, _ = trained_small
+        for trees, X in ((small_trees, queries[:500]), (clf.trees_, Xte[:500])):
+            if family == "hier":
+                layout = HierarchicalForest.from_trees(
+                    trees, LayoutParams(4, 8), codec=codec
+                )
+            else:
+                layout = CSRForest.from_trees(trees, codec=codec)
+            roundtripped = roundtrip_trees(trees, codec)
+            oracle = reference_predict(roundtripped, X)
+            assert np.array_equal(oracle, fastpath_predict(layout, X)[0])
+            moved = any(
+                not np.array_equal(a.threshold, b.threshold)
+                for a, b in zip(trees, roundtripped)
+            )
+            assert moved == (codec != "float32")

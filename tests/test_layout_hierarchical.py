@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.fastpath import fastpath_predict
 from repro.forest.tree import EMPTY, LEAF, DecisionTree
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams, _fill_subtree
+from tests.lowering import tree_predict
 from tests.test_forest_tree import small_manual_tree
 
 
@@ -127,25 +129,27 @@ class TestTraversal:
     def test_matches_reference(self, small_trees, queries, sd):
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(sd))
         for t, tree in enumerate(small_trees):
-            assert np.array_equal(h.predict_tree(queries, t), tree.predict(queries))
+            assert np.array_equal(tree_predict(h, queries, t), tree.predict(queries))
 
     def test_rsd_variant_matches(self, deep_trees, queries16):
         h = HierarchicalForest.from_trees(deep_trees, LayoutParams(5, 9))
         for t, tree in enumerate(deep_trees):
             assert np.array_equal(
-                h.predict_tree(queries16, t), tree.predict(queries16)
+                tree_predict(h, queries16, t), tree.predict(queries16)
             )
 
     def test_forest_vote(self, small_trees, queries):
         from repro.baselines.cpu_reference import reference_predict
 
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
-        assert np.array_equal(h.predict(queries), reference_predict(small_trees, queries))
+        assert np.array_equal(
+            fastpath_predict(h, queries)[0], reference_predict(small_trees, queries)
+        )
 
     def test_single_leaf_tree(self):
         h = HierarchicalForest.from_trees([DecisionTree.leaf(1)], LayoutParams(4))
         h.validate()
-        out = h.predict_tree(np.zeros((5, 3), dtype=np.float32), 0)
+        out = tree_predict(h, np.zeros((5, 3), dtype=np.float32), 0)
         assert np.all(out == 1)
 
 

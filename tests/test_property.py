@@ -15,6 +15,7 @@ from repro.forest.tree import random_tree
 from repro.gpusim.memory import warp_transactions
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
+from tests.lowering import tree_predict
 
 # Shared strategy pieces.
 tree_seeds = st.integers(0, 10_000)
@@ -36,7 +37,7 @@ class TestLayoutEquivalence:
         tree, X = make_case(seed, depth)
         h = HierarchicalForest.from_trees([tree], LayoutParams(sd))
         h.validate()
-        assert np.array_equal(h.predict_tree(X, 0), tree.predict(X))
+        assert np.array_equal(tree_predict(h, X, 0), tree.predict(X))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=tree_seeds, depth=depths, sd=sds, rsd_extra=st.integers(0, 4))
@@ -44,21 +45,21 @@ class TestLayoutEquivalence:
         tree, X = make_case(seed, depth)
         a = HierarchicalForest.from_trees([tree], LayoutParams(sd))
         b = HierarchicalForest.from_trees([tree], LayoutParams(sd, sd + rsd_extra))
-        assert np.array_equal(a.predict_tree(X, 0), b.predict_tree(X, 0))
+        assert np.array_equal(tree_predict(a, X, 0), tree_predict(b, X, 0))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=tree_seeds, depth=depths)
     def test_csr_equals_tree(self, seed, depth):
         tree, X = make_case(seed, depth)
         c = CSRForest.from_trees([tree])
-        assert np.array_equal(c.predict_tree(X, 0), tree.predict(X))
+        assert np.array_equal(tree_predict(c, X, 0), tree.predict(X))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=tree_seeds, depth=depths)
     def test_fil_equals_tree(self, seed, depth):
         tree, X = make_case(seed, depth)
         f = FILForest.from_trees([tree])
-        assert np.array_equal(f.predict_tree(X, 0), tree.predict(X))
+        assert np.array_equal(tree_predict(f, X, 0), tree.predict(X))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=tree_seeds, depth=st.integers(1, 8), sd=sds)

@@ -1,8 +1,11 @@
 """Layout checksums, pre-launch verification, and degraded quorum voting."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.baselines.cpu_reference import reference_predict
 from repro.core.classifier import HierarchicalForestClassifier
 from repro.core.config import RunConfig
 from repro.layout.csr import CSRForest
@@ -166,7 +169,7 @@ class TestDegradedVoting:
         alive = np.ones(h.n_trees, dtype=bool)
         preds, dropped = degraded_predict(h, queries, alive, 1.0)
         assert dropped == ()
-        assert np.array_equal(preds, h.predict(queries))
+        assert np.array_equal(preds, reference_predict(small_trees, queries))
 
     def test_quorum_lost_raises(self, small_trees, queries):
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
@@ -179,3 +182,39 @@ class TestDegradedVoting:
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
         with pytest.raises(ValueError, match="mask"):
             degraded_predict(h, queries, np.ones(3, dtype=bool), 0.5)
+
+
+class TestDegradedVotingUnderCorruption:
+    """Layouts corrupted before their first lowering still vote correctly."""
+
+    @pytest.mark.parametrize("family", ["hier", "csr", "fil"])
+    def test_matches_reference_over_alive_trees(self, small_trees, queries, family):
+        from repro.baselines.cuml_fil import FILForest
+        from repro.reliability.faults import FaultPlan
+
+        clean = {
+            "hier": lambda: HierarchicalForest.from_trees(small_trees, LayoutParams(3)),
+            "csr": lambda: CSRForest.from_trees(small_trees),
+            "fil": lambda: FILForest.from_trees(small_trees),
+        }[family]()
+        attach_integrity(clean)
+        X = queries[:256]
+        hit = 0
+        for seed in range(200):
+            layout = copy.deepcopy(clean)  # never lowered before the flip
+            integ = layout.integrity
+            corrupted = FaultPlan(
+                seed=seed, tree_corruption_rate=0.25
+            ).corrupt_layout(layout)
+            alive = integ.surviving_trees(layout)
+            assert np.flatnonzero(~alive).tolist() == list(corrupted)
+            hit += bool(corrupted)
+            if not alive.any():
+                with pytest.raises(QuorumLostError):
+                    degraded_predict(layout, X, alive, 0.0)
+                continue
+            preds, dropped = degraded_predict(layout, X, alive, 0.0)
+            assert dropped == tuple(corrupted)
+            alive_trees = [t for t, ok in zip(small_trees, alive) if ok]
+            assert np.array_equal(preds, reference_predict(alive_trees, X))
+        assert hit > 150

@@ -6,9 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from repro.baselines.cpu_reference import reference_predict
 from repro.core.config import KernelVariant, Platform, RunConfig
 from repro.datasets.profiles import make_synthetic_forest
 from repro.fpgasim.replication import Replication
+from repro.layout.codec import roundtrip_trees
 from repro.layout.hierarchical import LayoutParams
 from repro.runtime import (
     ExecutionPlan,
@@ -284,8 +286,8 @@ class TestPrecisionBudget:
         cfg = RunConfig(variant=KernelVariant.AUTO, memory_budget_bytes=1 << 14)
         plan = planner.plan(X, cfg)
         res = planner.session.run(plan, X)
-        layout = planner.session.layout_for(plan)
-        assert np.array_equal(res.predictions, layout.predict(X))
+        oracle = reference_predict(roundtrip_trees(forest.trees_, plan.precision), X)
+        assert np.array_equal(res.predictions, oracle)
 
     def test_config_rejects_bad_precision_and_budget(self):
         with pytest.raises(ValueError, match="precision"):
