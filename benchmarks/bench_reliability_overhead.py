@@ -59,9 +59,9 @@ def _run():
     build_checked_s = watch.elapsed()
 
     clf_plain = HierarchicalForestClassifier.from_trees(trees, 16)
-    clf_plain._layout_cache[("hier", 6, 6)] = plain
+    clf_plain.runtime._layout_cache[("hier", 6, 6)] = plain
     clf_checked = HierarchicalForestClassifier.from_trees(trees, 16)
-    clf_checked._layout_cache[("hier", 6, 6)] = checked
+    clf_checked.runtime._layout_cache[("hier", 6, 6)] = checked
 
     # Count verifications on the clean path.
     counter = {"n": 0}

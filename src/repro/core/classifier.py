@@ -28,7 +28,7 @@ cannot silently produce plausible timings.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from repro.fpgasim.device import ALVEO_U250, FPGASpec
 from repro.gpusim.device import GPUSpec, TITAN_XP
 from repro.runtime.planner import Planner, compile_plan
 from repro.runtime.session import RuntimeSession
-from repro.utils.validation import check_positive_int, check_queries, check_same_length
+from repro.utils.validation import check_queries, check_same_length
 
 
 class HierarchicalForestClassifier:
@@ -71,7 +71,6 @@ class HierarchicalForestClassifier:
         self.gpu = gpu
         self.fpga = fpga
         self.verify_against_reference = verify_against_reference
-        self._layout_cache: Dict[Tuple, object] = {}
         self._session: Optional[RuntimeSession] = None
         self._session_trees: Optional[list] = None
         self._planner: Optional[Planner] = None
@@ -82,7 +81,6 @@ class HierarchicalForestClassifier:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "HierarchicalForestClassifier":
         """Train the underlying forest; invalidates cached layouts."""
         self.forest.fit(X, y)
-        self._layout_cache.clear()
         self._session = None
         self._planner = None
         return self
@@ -116,12 +114,8 @@ class HierarchicalForestClassifier:
     # ------------------------------------------------------------------
     @property
     def runtime(self) -> RuntimeSession:
-        """The session executing this classifier's plans (rebuilt on refit).
-
-        The session shares this classifier's ``_layout_cache`` dict, so
-        layouts keep their historical cache keys and external code that
-        seeds or inspects the cache keeps working.
-        """
+        """The session executing this classifier's plans (rebuilt on refit,
+        with an empty layout cache)."""
         trees = self.trees
         if self._session is None or self._session_trees is not trees:
             self._session = RuntimeSession(
@@ -129,7 +123,6 @@ class HierarchicalForestClassifier:
                 gpu=self.gpu,
                 fpga=self.fpga,
                 verify_against_reference=self.verify_against_reference,
-                layout_cache=self._layout_cache,
             )
             self._session_trees = trees
             self._planner = None
@@ -157,7 +150,8 @@ class HierarchicalForestClassifier:
         corruption (see :mod:`repro.reliability`) this is the "re-upload the
         forest" recovery action.
         """
-        self._layout_cache.clear()
+        if self._session is not None:
+            self._session.invalidate_layouts()
 
     # ------------------------------------------------------------------
     # Classification
@@ -204,10 +198,12 @@ class HierarchicalForestClassifier:
         reported via ``on_transfer``.
 
         ``X`` must be finite, non-empty and have the forest's feature
-        count; anything else raises ``ValueError`` here, before planning,
-        in every trace mode.
+        count, and ``y_true`` (if given) one label per row; anything else
+        raises ``ValueError`` here, before planning, in every trace mode.
         """
         X = check_queries(X, self.forest.n_features_)
+        if y_true is not None:
+            check_same_length(X, y_true, names=("X", "y_true"))
         plan, config = self._resolve(X, config)
         session = self.runtime
         session.verify_against_reference = self.verify_against_reference
@@ -219,48 +215,6 @@ class HierarchicalForestClassifier:
             launch_gate=launch_gate,
             observer=observer,
             config=config,
-        )
-
-    def classify_batched(
-        self,
-        X: np.ndarray,
-        config: RunConfig = RunConfig(),
-        batch_size: int = 4096,
-        y_true: Optional[np.ndarray] = None,
-        observer=None,
-    ) -> "BatchedRunResult":
-        """Classify ``X`` in fixed-size batches (inference-service style).
-
-        Each batch is one simulated kernel launch; the result aggregates
-        per-batch latencies (total, mean, max — the numbers a deployment's
-        latency budget is written against).  Predictions are identical to a
-        single :meth:`classify` call.  ``variant="auto"`` is resolved once
-        for the whole matrix, not re-tuned per batch.
-        """
-        from repro.core.results import BatchedRunResult
-
-        X = check_queries(X, self.forest.n_features_)
-        check_positive_int(batch_size, "batch_size")
-        if y_true is not None:
-            y_true = np.asarray(y_true)
-            check_same_length(X, y_true, names=("X", "y_true"))
-        _, config = self._resolve(X, config)
-        preds = np.empty(X.shape[0], dtype=np.int64)
-        batch_seconds = []
-        for lo in range(0, X.shape[0], batch_size):
-            hi = min(lo + batch_size, X.shape[0])
-            res = self.classify(X[lo:hi], config, observer=observer)
-            preds[lo:hi] = res.predictions
-            batch_seconds.append(res.seconds)
-        accuracy = None
-        if y_true is not None:
-            accuracy = accuracy_score(y_true, preds)
-        return BatchedRunResult(
-            config=config,
-            predictions=preds,
-            batch_seconds=np.asarray(batch_seconds),
-            batch_size=batch_size,
-            accuracy=accuracy,
         )
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -31,10 +31,6 @@ from repro.extensions.tree_clustering import (
 )
 from repro.extensions.block_per_tree import GPUBlockPerTreeKernel
 from repro.extensions.greedy_traversal import GPUGreedyKernel
-from repro.extensions.packed_nodes import (
-    GPUPackedHybridKernel,
-    GPUPackedIndependentKernel,
-)
 from repro.extensions.query_sorting import (
     root_path_signature,
     sort_queries,
@@ -43,8 +39,6 @@ from repro.extensions.query_sorting import (
 
 __all__ = [
     "GPUGreedyKernel",
-    "GPUPackedHybridKernel",
-    "GPUPackedIndependentKernel",
     "root_path_signature",
     "sort_queries",
     "sorting_cost_seconds",

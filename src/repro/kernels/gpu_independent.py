@@ -33,14 +33,10 @@ class GPUIndependentKernel(GPUKernel):
     #: L1 hit rate on node/connection loads (see CoalescingTracker): the
     #: independent kernel's warps drift across trees, thrashing L1.
     NODE_L1_HIT = 0.15
-    #: Bytes per feature-id element.  The paper's packed format stores node
-    #: attributes in 48 bits (16-bit feature id + 32-bit value); the packed
-    #: kernel variant in repro.extensions overrides this to 2.
-    FEATURE_BYTES = 4
 
     def _make_space(self, layout: HierarchicalForest, n, n_features) -> AddressSpace:
         space = AddressSpace()
-        space.alloc("feature_id", layout.total_slots, self.FEATURE_BYTES)
+        space.alloc("feature_id", layout.total_slots, 4)
         space.alloc("value", layout.total_slots, 4)
         space.alloc("subtree_node_offset", layout.n_subtrees + 1, 8)
         space.alloc("subtree_depth", layout.n_subtrees, 4)

@@ -68,11 +68,10 @@ class Backend:
 
 
 def _accelerator_layout_key(plan: ExecutionPlan) -> Tuple:
-    # Key scheme shared with the classifier's historical layout cache
-    # (tests and benchmarks inject entries under these exact keys).
-    # Quantized plans append the codec so a float32 layout is never
-    # served to a quantized plan or vice versa; float32 keys stay the
-    # historical tuples.
+    # Layout-cache key for the session: one entry per distinct layout
+    # (benchmarks seed prebuilt layouts under these keys).  Quantized
+    # plans append the codec so a float32 layout is never served to a
+    # quantized plan or vice versa.
     if plan.variant == "csr":
         key: Tuple = ("csr",)
     elif plan.variant == "cuml":

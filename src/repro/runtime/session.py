@@ -65,10 +65,9 @@ class RuntimeSession:
     observer:
         Default observability sink for runs (a per-run ``observer=``
         overrides it).
-    layout_cache:
-        Optional externally-owned cache dict; the classifier front door
-        shares its historical ``_layout_cache`` this way so tests and
-        benchmarks that seed or inspect it keep working.
+
+    The session owns its layout cache: one layout per backend layout key,
+    built on first use and dropped by :meth:`invalidate_layouts`.
     """
 
     def __init__(
@@ -78,7 +77,6 @@ class RuntimeSession:
         fpga: FPGASpec = ALVEO_U250,
         verify_against_reference: bool = True,
         observer=None,
-        layout_cache: Optional[Dict[Tuple, object]] = None,
     ):
         self.trees = list(trees)
         if not self.trees:
@@ -88,9 +86,7 @@ class RuntimeSession:
         self.verify_against_reference = verify_against_reference
         self.observer = observer
         self.backends: Dict[str, Backend] = default_backends(gpu, fpga)
-        self._layout_cache: Dict[Tuple, object] = (
-            layout_cache if layout_cache is not None else {}
-        )
+        self._layout_cache: Dict[Tuple, object] = {}
         self._reference_trees: Dict[str, List] = {}
 
     @classmethod
@@ -103,7 +99,7 @@ class RuntimeSession:
     # Layouts
     # ------------------------------------------------------------------
     def layout_for(self, plan: ExecutionPlan):
-        """Build (or fetch from the shared cache) the layout ``plan`` needs."""
+        """Build (or fetch from the session cache) the layout ``plan`` needs."""
         backend = backend_for(self.backends, plan)
         key = backend.layout_key(plan)
         if key not in self._layout_cache:

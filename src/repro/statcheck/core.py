@@ -48,8 +48,6 @@ class Violation:
     col: int
     rule_id: str
     message: str
-    #: Optional mechanical fix (compare=False keeps frozen-equality by site).
-    fix: Optional[object] = field(default=None, compare=False)
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
@@ -61,7 +59,6 @@ class Violation:
             "col": self.col,
             "rule": self.rule_id,
             "message": self.message,
-            "fixable": self.fix is not None,
         }
 
 

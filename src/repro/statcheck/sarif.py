@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.statcheck.core import (
     PARSE_RULE,
@@ -127,9 +127,5 @@ def sarif_log(
     }
 
 
-def render_sarif(
-    violations: List[Violation],
-    baseline=None,  # accepted for reporter-signature parity; unused
-    files_checked: int = 0,
-) -> str:
+def render_sarif(violations: List[Violation], files_checked: int = 0) -> str:
     return json.dumps(sarif_log(violations, files_checked), indent=1)

@@ -138,10 +138,10 @@ class TestClassifier:
     def test_fit_clears_cache(self, trained_small):
         clf, Xtr, ytr, _, _ = trained_small
         api = HierarchicalForestClassifier.from_forest(clf)
-        api.layout_for(RunConfig(variant="csr"))
-        assert api._layout_cache
+        before = api.layout_for(RunConfig(variant="csr"))
+        assert api.layout_for(RunConfig(variant="csr")) is before
         api.fit(Xtr, ytr)
-        assert not api._layout_cache
+        assert api.layout_for(RunConfig(variant="csr")) is not before
 
     def test_from_trees(self, small_trees, queries):
         clf = HierarchicalForestClassifier.from_trees(small_trees, 12)
@@ -166,38 +166,3 @@ class TestClassifier:
                 clf.classify(Xte, RunConfig(variant="csr"))
         finally:
             layout.value[leaf_idx] = old
-
-
-class TestBatchedClassification:
-    def test_matches_single_shot(self, fitted):
-        clf, Xte, yte = fitted
-        single = clf.classify(Xte, RunConfig(variant="independent"))
-        batched = clf.classify_batched(
-            Xte, RunConfig(variant="independent"), batch_size=300, y_true=yte
-        )
-        assert np.array_equal(batched.predictions, single.predictions)
-        assert batched.n_batches == -(-Xte.shape[0] // 300)
-        assert batched.accuracy == pytest.approx(
-            np.mean(single.predictions == yte)
-        )
-
-    def test_latency_stats(self, fitted):
-        clf, Xte, _ = fitted
-        b = clf.classify_batched(Xte, RunConfig(variant="hybrid"), batch_size=256)
-        assert b.total_seconds >= b.max_batch_seconds >= b.mean_batch_seconds > 0
-        assert b.throughput_qps > 0
-
-    def test_single_batch_when_large(self, fitted):
-        clf, Xte, _ = fitted
-        b = clf.classify_batched(Xte, batch_size=10**9)
-        assert b.n_batches == 1
-
-    def test_invalid_batch_size(self, fitted):
-        clf, Xte, _ = fitted
-        with pytest.raises(ValueError):
-            clf.classify_batched(Xte, batch_size=0)
-
-    def test_empty_input_rejected(self, fitted):
-        clf, _, _ = fitted
-        with pytest.raises(ValueError):
-            clf.classify_batched(np.empty((0, 10), dtype=np.float32))

@@ -213,28 +213,3 @@ class TestGreedyTraversal:
         consider applying this variant.'"""
         base, greedy = pair
         assert greedy.seconds >= base.seconds * 0.95
-
-
-class TestPackedNodes:
-    def test_correct_and_never_slower(self, small_trees, queries):
-        from repro.extensions import GPUPackedIndependentKernel
-
-        hier = HierarchicalForest.from_trees(small_trees, LayoutParams(5))
-        plain = GPUIndependentKernel().run(hier, queries)
-        packed = GPUPackedIndependentKernel().run(hier, queries)
-        assert np.array_equal(packed.predictions, plain.predictions)
-        assert packed.seconds <= plain.seconds * 1.001
-        assert (
-            packed.metrics.global_load_transactions
-            <= plain.metrics.global_load_transactions
-        )
-
-    def test_packed_hybrid(self, small_trees, queries):
-        from repro.extensions import GPUPackedHybridKernel
-        from repro.kernels import GPUHybridKernel
-
-        hier = HierarchicalForest.from_trees(small_trees, LayoutParams(5))
-        plain = GPUHybridKernel().run(hier, queries)
-        packed = GPUPackedHybridKernel().run(hier, queries)
-        assert np.array_equal(packed.predictions, plain.predictions)
-        assert packed.seconds <= plain.seconds * 1.001

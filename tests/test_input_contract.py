@@ -1,7 +1,7 @@
 """The query input contract, enforced once at every public boundary.
 
-Non-finite values, an empty batch and a feature count other than the
-forest's are caller errors: ``classify()`` and the guarded classifier raise
+Non-finite values, an empty batch, a feature count other than the
+forest's and a ``y_true`` of the wrong length are caller errors: ``classify()`` and the guarded classifier raise
 the same ``ValueError`` before planning in every trace mode, and the serving
 front door turns them into a typed ``invalid`` rejection.
 """
@@ -54,9 +54,12 @@ KINDS = ("nan", "inf", "empty", "narrow", "wide")
 
 @pytest.mark.parametrize("entry", ["classify", "guard"])
 @pytest.mark.parametrize("trace", [TRACE_OFF, TRACE_MODEL])
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + ("labels",))
 def test_malformed_input_is_one_value_error(clf, X, kind, trace, entry, monkeypatch):
-    bad, message = malformed(kind, X)
+    if kind == "labels":
+        bad, y_true, message = X, np.zeros(3, dtype=np.int64), "y_true=3"
+    else:
+        (bad, message), y_true = malformed(kind, X), None
     # Rejection happens before planning: the planner must never see it.
     monkeypatch.setattr(
         type(clf.planner), "plan", lambda *a, **k: pytest.fail("planned bad input")
@@ -64,7 +67,7 @@ def test_malformed_input_is_one_value_error(clf, X, kind, trace, entry, monkeypa
     config = RunConfig(platform="gpu", variant="hybrid", trace=trace)
     run = clf.classify if entry == "classify" else ResilientClassifier(clf).classify
     with pytest.raises(ValueError, match=message) as err:
-        run(bad, config)
+        run(bad, config, y_true=y_true)
     assert type(err.value) is ValueError
 
 
